@@ -129,8 +129,8 @@ bench-bitset-smoke:
 # Delta-vs-cold solve comparison on the PR 10 acceptance workloads: the
 # dense 64x64 jitter stream (~5% of cells re-drawn per round inside their
 # beta bucket) must reach >= 5x over re-solving from scratch, while the
-# replay (Dense64Swap), rebuild (StructuralChurn) and fallback (ColdBase)
-# paths are parity controls (speedup >= 0.95 — delta dispatch must never
+# weight-only re-peel (Dense64Swap, labelled replay), rebuild
+# (StructuralChurn) and fallback (ColdBase) paths are parity controls (speedup >= 0.95 — delta dispatch must never
 # cost real time on the streams it cannot shortcut). Every benchmark
 # byte-verifies a full cycle of its edit stream against cold solves, and
 # pins each workload to the delta path it claims, before timing anything.

@@ -15,42 +15,26 @@ import (
 // evolves between rounds — a few matrix cells change while most of the
 // instance stays put — so a Result retains everything a cold solve builds
 // (the canonical graph, the normalized augmented instance, the peeler with
-// its matcher arenas, and for GGP the full peeling trajectory) and repairs
-// it under an edit list instead of rebuilding. The hard contract is
-// byte-identical output to a cold Solve on the edited instance; see
-// DESIGN.md §13 for the determinism argument. Five paths, cheapest first:
+// its matcher arenas) and advances it under an edit list instead of
+// rebuilding. The hard contract is byte-identical output to a cold Solve
+// on the edited instance; see DESIGN.md §13. Four behaviours, cheapest
+// first:
 //
 //   - reuse: no real edge's normalized weight changed (β absorbed the raw
 //     change, or MinSteps' unit weights ignore it). The normalized solve is
 //     the same solve, so the retained normalized steps are re-denormalized
 //     against the patched raw weights and nothing is re-peeled.
-//   - replay (GGP): weight-only edits that keep every node's normalized
-//     weight sum — the augmentation is then unchanged and the recorded
-//     trajectory of matchings is replayed against the patched weights.
-//     Matchings are a pure function of (active edge set, previous matching),
-//     never of the weights (matching.Incremental's canonical traversal), so
-//     replay stays exact while the edge-death sequence matches the
-//     recording; where it diverges the real matcher takes over, warm-started
-//     from the last replayed matching, and replay resumes as soon as the
-//     death multiset and the surviving matching realign with the recording.
-//   - rerun (OGGP): same preconditions, but bottleneck matchings do depend
-//     on weights, so the peel re-runs in the retained arenas with the
-//     matcher's insertion order re-sorted over the patched weights
-//     (BottleneckInc.Resort) — warm memory, cold decisions.
-//   - rebuild: structural edits (cell add/remove), changed node sums, or
-//     damage above the threshold: the instance is rebuilt from the patched
-//     graph and peeled with the plain cold loop. No trajectory is recorded
-//     (recording would cost ~15% per peel to prefetch a replay a churning
-//     stream never redeems); the retained trajectory is invalidated, and
-//     the first replay-path delta after a rebuild re-records one during
-//     its own tracked run.
+//   - re-peel (labelled replay for GGP, rerun for OGGP/MinSteps):
+//     weight-only edits that keep every node's normalized weight sum. The
+//     augmentation is then unchanged, so the patched weights go straight
+//     into the retained instance and the peel re-runs in the retained
+//     arenas. A reset matching.Incremental depends only on the active edge
+//     set, and a re-sorted BottleneckInc equals a newly built one, so the
+//     re-peel makes exactly the cold run's decisions.
+//   - rebuild: structural edits (cell add/remove) or changed node sums:
+//     the instance is rebuilt from the patched graph and peeled cold.
 //   - cold: configurations the monolithic delta engine does not model
 //     (Greedy, sharded solves) go through plain Solve on the patched graph.
-//
-// The damage threshold is the fraction of connected components of the
-// traffic graph touched by the edits (the PR 5 union-find supplies the
-// components); above it, repair is assumed to cost more than a rebuild. On
-// a single-component graph the fraction degrades to edited-cells/edges.
 
 // Edit sets one cell of the traffic matrix to a new raw weight: W > 0
 // writes the cell (adding it if absent), W = 0 clears it. Edits apply in
@@ -67,15 +51,15 @@ const (
 	// DeltaReuse re-denormalized the retained normalized steps; nothing was
 	// re-peeled (the normalized instance was unchanged by the edits).
 	DeltaReuse DeltaPath = iota
-	// DeltaReplay replayed the recorded GGP trajectory against the patched
-	// weights, repairing only the diverging iterations.
+	// DeltaReplay re-peeled a GGP instance in the retained arenas after a
+	// weight-only, node-sum-stable edit.
 	DeltaReplay
-	// DeltaRerun re-peeled in the retained arenas with re-sorted bottleneck
-	// matcher state (OGGP; bottleneck matchings depend on the weights).
+	// DeltaRerun is DeltaReplay for bottleneck matchers (OGGP, MinSteps):
+	// the same re-peel, with the matcher's insertion order re-sorted over
+	// the patched weights.
 	DeltaRerun
 	// DeltaRebuild rebuilt the augmented instance from the patched graph
-	// and peeled it cold (structural edits, changed node sums, or damage
-	// above the threshold).
+	// and peeled it cold (structural edits or changed node sums).
 	DeltaRebuild
 	// DeltaCold delegated to plain Solve on the patched graph (Greedy or
 	// sharded configurations, which the delta engine does not model).
@@ -101,19 +85,9 @@ func (p DeltaPath) String() string {
 
 // DeltaStats describes the last SolveDelta call on a Result.
 type DeltaStats struct {
-	Path        DeltaPath
-	Edits       int     // edits submitted (before no-op collapsing)
-	Damage      float64 // fraction of components touched (weight-only edits)
-	Iterations  int     // peel iterations executed (replay paths)
-	Replayed    int     // iterations satisfied from the recorded trajectory
-	Repaired    int     // iterations recomputed by the real matcher
-	Resyncs     int     // times replay resumed after a divergence
-	Divergences int     // times replay fell out of sync
+	Path  DeltaPath
+	Edits int // edits submitted (before no-op collapsing)
 }
-
-// DefaultDamageThreshold is the touched-component fraction above which
-// SolveDelta falls back to a cold rebuild.
-const DefaultDamageThreshold = 0.25
 
 // ErrNonCanonical reports a delta-base graph whose edge list is not in
 // canonical row-major order (or has parallel edges). Callers that accept
@@ -123,17 +97,6 @@ var ErrNonCanonical = errors.New("kpbs: delta base requires canonical row-major 
 
 // IsNonCanonical reports whether err is (or wraps) ErrNonCanonical.
 func IsNonCanonical(err error) bool { return errors.Is(err, ErrNonCanonical) }
-
-// trajectory records one GGP peel as replayable state: the matched edge
-// per (augmented) left node at every iteration, and the edge-death
-// sequence in emission order with per-iteration boundaries.
-type trajectory struct {
-	nL      int
-	iters   int
-	matched []int32 // iters rows of nL matched-edge indices
-	zeroed  []int32 // edge deaths, concatenated in emission order
-	zeroEnd []int32 // per-iteration cumulative death counts
-}
 
 // Result is a retained solve: the schedule plus everything needed to
 // repair it under edits. Build one with NewResult, advance it with
@@ -151,19 +114,12 @@ type Result struct {
 	kind   matcherKind
 	eng    matching.Engine
 
-	damageThreshold float64
-	broken          bool
+	broken bool
 
 	in *instance
 	p  *peeler
 
 	lookL, lookR []int // original node id -> compacted work index, -1 isolated
-
-	cur, alt *trajectory // double-buffered recording (matchAny only)
-
-	sh        *sharder // connected components of g, for the damage metric
-	compStamp []int
-	compEpoch int
 
 	// Edit-overlay scratch: deduplicated edited cells in first-touch order.
 	ovIdx map[uint64]int
@@ -216,15 +172,14 @@ func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, er
 		kind = matchBottleneck
 	}
 	r := &Result{
-		g:               g.Clone(),
-		k:               k,
-		beta:            beta,
-		opts:            opts,
-		simple:          opts.Shard == ShardOff && opts.Algorithm != Greedy,
-		unit:            opts.Algorithm == MinSteps,
-		kind:            kind,
-		eng:             eng,
-		damageThreshold: DefaultDamageThreshold,
+		g:      g.Clone(),
+		k:      k,
+		beta:   beta,
+		opts:   opts,
+		simple: opts.Shard == ShardOff && opts.Algorithm != Greedy,
+		unit:   opts.Algorithm == MinSteps,
+		kind:   kind,
+		eng:    eng,
 	}
 	if err := r.recompute(); err != nil {
 		return nil, err
@@ -247,10 +202,6 @@ func (r *Result) Beta() int64 { return r.beta }
 
 // Options returns the solve options the Result was built with.
 func (r *Result) Options() Options { return r.opts }
-
-// SetDamageThreshold overrides the touched-component fraction above which
-// deltas fall back to a cold rebuild (DefaultDamageThreshold).
-func (r *Result) SetDamageThreshold(t float64) { r.damageThreshold = t }
 
 // SolveDelta patches the retained instance with edits and returns the
 // schedule of the edited instance, byte-identical to a cold Solve of it.
@@ -301,25 +252,23 @@ func (r *Result) SolveDelta(edits []Edit) (*Schedule, error) {
 		err = r.recompute()
 	case !normChanged:
 		// β (or MinSteps' unit weights) absorbed every raw change: the
-		// normalized solve is unchanged, only denormalization re-runs. Exact
-		// reuse, so the damage gate does not apply.
+		// normalized solve is unchanged, only denormalization re-runs.
 		r.applyOverlay(false)
 		r.stats.Path = DeltaReuse
 		err = r.redenormalize()
-	case !sumsStable || r.stats.Damage > r.damageThreshold:
+	case !sumsStable:
 		r.applyOverlay(false)
 		r.stats.Path = DeltaRebuild
 		err = r.recompute()
-	case r.kind == matchAny:
-		r.applyOverlay(false)
-		r.patchInstance()
-		r.stats.Path = DeltaReplay
-		err = r.repeel(true)
 	default:
 		r.applyOverlay(false)
 		r.patchInstance()
-		r.stats.Path = DeltaRerun
-		err = r.repeel(false)
+		// One re-peel for both matchers; the label only names which.
+		r.stats.Path = DeltaReplay
+		if r.kind == matchBottleneck {
+			r.stats.Path = DeltaRerun
+		}
+		err = r.repeel()
 	}
 	if err != nil {
 		r.broken = true
@@ -378,12 +327,9 @@ func (r *Result) scanEdits(edits []Edit) int {
 }
 
 // classify inspects the overlay: structural edits (cell add/remove),
-// normalized-weight changes, normalized node-sum stability, and the
-// touched-component damage fraction (recorded in stats.Damage).
+// normalized-weight changes and normalized node-sum stability.
 func (r *Result) classify() (structural, normChanged, sumsStable bool) {
 	sumsStable = true
-	r.compEpoch++
-	touched := 0
 	for i := 0; i < r.ovN; i++ {
 		base, fin, ei := r.ovB[i], r.ovV[i], r.ovE[i]
 		if ei < 0 || fin == 0 || base == 0 {
@@ -394,12 +340,6 @@ func (r *Result) classify() (structural, normChanged, sumsStable bool) {
 			// Cold dispatch (greedy, sharding): only the structural bit decides
 			// how the overlay is applied; the lookups below are never built.
 			continue
-		}
-		if r.sh != nil && r.sh.nComp > 0 {
-			if c := r.sh.comp[ei]; r.compStamp[c] != r.compEpoch {
-				r.compStamp[c] = r.compEpoch
-				touched++
-			}
 		}
 		if r.unit {
 			continue // unit weights: normalization ignores the raw value
@@ -441,13 +381,6 @@ func (r *Result) classify() (structural, normChanged, sumsStable bool) {
 	}
 	r.tL = r.tL[:0]
 	r.tR = r.tR[:0]
-	if r.simple && !structural && r.sh != nil {
-		if r.sh.nComp > 1 {
-			r.stats.Damage = float64(touched) / float64(r.sh.nComp)
-		} else if m := r.g.EdgeCount(); m > 0 {
-			r.stats.Damage = float64(r.ovN) / float64(m)
-		}
-	}
 	return structural, normChanged, sumsStable
 }
 
@@ -586,7 +519,6 @@ func (r *Result) recompute() error {
 	}
 	r.in = in
 	r.p = nil
-	r.cur = nil
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
 	if in == nil {
 		r.sched = Schedule{Beta: r.beta}
@@ -595,24 +527,12 @@ func (r *Result) recompute() error {
 	}
 	p := newPeeler(in, r.kind, r.eng)
 	p.so = so
-	// A rebuild runs the plain cold loop, NOT runTracked: recording a
-	// trajectory costs ~15% per peel, which would sink the rebuild path
-	// below cold-solve parity (the StructuralChurn benchmark gate) to
-	// prefetch a replay that a churn-heavy stream never redeems. The
-	// trajectory is invalidated instead (r.cur = nil above); the first
-	// weight-only delta after a rebuild records one during its own
-	// tracked run, and replay resumes from the round after.
 	steps, err := p.run()
 	if err != nil {
 		return err
 	}
 	r.p = p
 	r.indexNodes()
-	if r.sh == nil {
-		r.sh = newSharder()
-	}
-	r.sh.split(r.g)
-	r.compStamp = ensureInts(r.compStamp, r.sh.nComp)
 	r.denormalizeInto(steps)
 	r.finishSimple(so)
 	return nil
@@ -633,31 +553,19 @@ func (r *Result) redenormalize() error {
 	return nil
 }
 
-// repeel re-peels the patched instance in the retained arenas: trajectory
-// replay for matchAny, a cold-decision warm-memory rerun for bottleneck.
-func (r *Result) repeel(replay bool) error {
+// repeel re-peels the patched instance in the retained arenas. reset
+// restores the patched pristine weights and an empty matching; bottleneck
+// matchers also re-sort their insertion order over those weights. Either
+// matcher is then in exactly the state a newly built one would be, so
+// run makes the cold solve's decisions in warm memory.
+func (r *Result) repeel() error {
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
 	r.p.so = so
 	r.p.reset()
-	var steps []normStep
-	var err error
-	if replay {
-		if r.alt == nil {
-			// First tracked run after a rebuild (or ever): rebuilds do not
-			// record, so the spare trajectory is allocated lazily here. Two
-			// trajectories ping-pong from then on with no further growth.
-			r.alt = &trajectory{}
-		}
-		// r.cur may be nil (post-rebuild): runTracked then records without
-		// replaying, re-seeding the trajectory for the next round.
-		steps, err = r.p.runTracked(r.cur, r.alt, &r.stats)
-		if err == nil {
-			r.cur, r.alt = r.alt, r.cur
-		}
-	} else {
+	if r.p.bot != nil {
 		r.p.bot.Resort()
-		steps, err = r.p.run()
 	}
+	steps, err := r.p.run()
 	if err != nil {
 		return err
 	}
@@ -669,8 +577,7 @@ func (r *Result) repeel(replay bool) error {
 // observe reports the last delta outcome to the observability layer
 // (strictly passive; nil Obs → no-op).
 func (r *Result) observe() {
-	r.opts.Obs.DeltaSolve(r.opts.Algorithm.String(), r.stats.Path.String(),
-		r.stats.Edits, int(r.stats.Damage*100), r.stats.Replayed, r.stats.Repaired, r.stats.Resyncs)
+	r.opts.Obs.DeltaSolve(r.opts.Algorithm.String(), r.stats.Path.String(), r.stats.Edits)
 }
 
 // finishSimple applies the post-passes and closes the solve observation,
@@ -776,24 +683,6 @@ func ensureInt64s(buf []int64, n int) []int64 {
 	if cap(buf) < n {
 		//redistlint:allow hotpath-interproc grow-only scratch reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_test.go
 		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-// ensureInt32s returns buf resized to n, reallocating only on growth.
-func ensureInt32s(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		//redistlint:allow hotpath-interproc grow-only scratch reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_test.go
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// ensureBools returns buf resized to n, reallocating only on growth.
-func ensureBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		//redistlint:allow hotpath-interproc grow-only scratch reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_test.go
-		return make([]bool, n)
 	}
 	return buf[:n]
 }

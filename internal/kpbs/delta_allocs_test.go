@@ -9,9 +9,10 @@ import (
 // the hot delta paths: after warm-up, a weight-only edit round whose
 // normalized instance is unchanged (the reuse path — the headline serving
 // regime of `make bench-delta`) must run without a single heap
-// allocation, and the replay path must stay within a small retained-arena
-// budget. A regression here silently turns the delta server into a GC
-// treadmill, so the pin is exact, not a threshold.
+// allocation, and so must a weight-only round that re-peels in the
+// retained arenas, for GGP and OGGP alike. A regression here silently
+// turns the delta server into a GC treadmill, so the pin is exact, not a
+// threshold.
 func TestDeltaSteadyStateAllocs(t *testing.T) {
 	const n, k, beta = 32, 8, 8
 	rng := rand.New(rand.NewSource(9))
@@ -67,5 +68,46 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 	}
 	if res.Stats().Path != DeltaReuse {
 		t.Fatalf("measured rounds took %v, want DeltaReuse", res.Stats().Path)
+	}
+
+	// Re-peel: a closed swap/unswap cycle of balanced 2x2 swaps at β = 1.
+	// Normalized weights change while node sums hold, so every round
+	// re-peels, and the cycle returns to the base, so warm arenas never
+	// need to grow again after one pass.
+	for _, alg := range []Algorithm{GGP, OGGP} {
+		want := DeltaReplay
+		if alg == OGGP {
+			want = DeltaRerun
+		}
+		base := balancedMatrix(rng, n, 10, 400)
+		res, err := NewResult(graphFromMatrix(t, base, n, n), k, 1, Options{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped := append([]int64(nil), base...)
+		swap := balancedSwapEdits(rng, swapped, n, 4)
+		unswap := make([]Edit, len(swap))
+		for i, e := range swap {
+			unswap[i] = Edit{L: e.L, R: e.R, W: base[e.L*n+e.R]}
+		}
+		cycle := [][]Edit{swap, unswap}
+		for _, edits := range cycle {
+			if _, err := res.SolveDelta(edits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round = 0
+		avg := testing.AllocsPerRun(rounds, func() {
+			if _, err := res.SolveDelta(cycle[round%len(cycle)]); err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats().Path != want {
+				t.Fatalf("%v re-peel round took %v, want %v", alg, res.Stats().Path, want)
+			}
+			round++
+		})
+		if avg != 0 {
+			t.Errorf("%v re-peel path allocates %.1f objects per round, want 0", alg, avg)
+		}
 	}
 }

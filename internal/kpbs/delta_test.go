@@ -133,52 +133,88 @@ func TestSolveDeltaEquivalentToCold(t *testing.T) {
 	}
 }
 
-// TestSolveDeltaReplayPath pins that balanced weight-only edits on a
-// doubly-balanced dense instance actually take the replay path (GGP) and
-// the rerun path (OGGP) — the steady-state regime the bench gate measures
-// — and still match cold solves.
+// TestSolveDeltaReplayPath pins that balanced weight-only edits take the
+// re-peel path — labelled DeltaReplay for GGP and DeltaRerun for OGGP —
+// on every round, and still match cold solves. The inputs are a dense
+// single-component instance (the steady-state regime the bench gate
+// measures) and a block-diagonal instance whose every round touches every
+// connected component: the re-peel must not care how much of the graph
+// an edit reaches.
 func TestSolveDeltaReplayPath(t *testing.T) {
 	const n, k = 16, 16
 	rng := rand.New(rand.NewSource(7))
-	mat := balancedMatrix(rng, n, 10, 200)
-	for _, alg := range []Algorithm{GGP, OGGP} {
-		opts := Options{Algorithm: alg}
-		m := append([]int64(nil), mat...)
-		res, err := NewResult(graphFromMatrix(t, m, n, n), k, 1, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.SetDamageThreshold(1.0)
-		sawWarm := false
-		for round := 0; round < 20; round++ {
-			edits := balancedSwapEdits(rng, m, n, 2)
-			applyEditsToMatrix(m, n, edits)
-			got, err := res.SolveDelta(edits)
-			if err != nil {
-				t.Fatalf("%v round %d: %v", alg, round, err)
+	inputs := []struct {
+		name  string
+		mat   []int64
+		edits func(mat []int64) []Edit
+	}{
+		{"dense", balancedMatrix(rng, n, 10, 200),
+			func(mat []int64) []Edit { return balancedSwapEdits(rng, mat, n, 2) }},
+		{"every-component", blockDiagonalMatrix(rng, n, 4),
+			func(mat []int64) []Edit { return blockSwapEdits(rng, mat, n, 4) }},
+	}
+	for _, in := range inputs {
+		for _, alg := range []Algorithm{GGP, OGGP} {
+			opts := Options{Algorithm: alg}
+			want := DeltaReplay
+			if alg == OGGP {
+				want = DeltaRerun
 			}
-			path := res.Stats().Path
-			if alg == GGP && path == DeltaReplay {
-				sawWarm = true
-			}
-			if alg == OGGP && path == DeltaRerun {
-				sawWarm = true
-			}
-			if path == DeltaCold {
-				t.Fatalf("%v round %d: unexpected cold path", alg, round)
-			}
-			want, err := Solve(graphFromMatrix(t, m, n, n), k, 1, opts)
+			m := append([]int64(nil), in.mat...)
+			res, err := NewResult(graphFromMatrix(t, m, n, n), k, 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.String() != want.String() {
-				t.Fatalf("%v round %d (path %v): delta differs from cold", alg, round, path)
+			for round := 0; round < 20; round++ {
+				edits := in.edits(m)
+				applyEditsToMatrix(m, n, edits)
+				got, err := res.SolveDelta(edits)
+				if err != nil {
+					t.Fatalf("%s %v round %d: %v", in.name, alg, round, err)
+				}
+				if path := res.Stats().Path; path != want {
+					t.Fatalf("%s %v round %d: path %v, want %v", in.name, alg, round, path, want)
+				}
+				cold, err := Solve(graphFromMatrix(t, m, n, n), k, 1, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != cold.String() {
+					t.Fatalf("%s %v round %d: delta differs from cold", in.name, alg, round)
+				}
 			}
 		}
-		if !sawWarm {
-			t.Fatalf("%v: no warm (replay/rerun) round in 20 balanced-swap rounds", alg)
+	}
+}
+
+// blockDiagonalMatrix builds an n x n matrix of balanced dense b x b
+// blocks on the diagonal: n/b connected components, all with equal row
+// and column sums.
+func blockDiagonalMatrix(rng *rand.Rand, n, b int) []int64 {
+	mat := make([]int64, n*n)
+	for o := 0; o+b <= n; o += b {
+		blk := balancedMatrix(rng, b, 10, 20)
+		for i := 0; i < b; i++ {
+			copy(mat[(o+i)*n+o:(o+i)*n+o+b], blk[i*b:(i+1)*b])
 		}
 	}
+	return mat
+}
+
+// blockSwapEdits emits one balanced 2x2 swap inside every diagonal b x b
+// block of mat, so each round touches every component.
+func blockSwapEdits(rng *rand.Rand, mat []int64, n, b int) []Edit {
+	blk := make([]int64, b*b)
+	var edits []Edit
+	for o := 0; o+b <= n; o += b {
+		for i := 0; i < b; i++ {
+			copy(blk[i*b:(i+1)*b], mat[(o+i)*n+o:(o+i)*n+o+b])
+		}
+		for _, e := range balancedSwapEdits(rng, blk, b, 1) {
+			edits = append(edits, Edit{L: o + e.L, R: o + e.R, W: e.W})
+		}
+	}
+	return edits
 }
 
 // balancedMatrix builds a dense n x n matrix with equal row and column
@@ -188,18 +224,17 @@ func balancedMatrix(rng *rand.Rand, n int, base, swaps int) []int64 {
 	for i := range mat {
 		mat[i] = int64(base)
 	}
-	for s := 0; s < swaps; s++ {
-		for _, e := range balancedSwapEdits(rng, mat, n, 1) {
-			mat[e.L*n+e.R] = e.W
-		}
-	}
+	balancedSwapEdits(rng, mat, n, swaps)
 	return mat
 }
 
-// balancedSwapEdits emits `count` balanced 2x2 swaps: move δ from cells
+// balancedSwapEdits emits `count` balanced 2x2 swaps: move 1 from cells
 // (i,j),(i2,j2) to (i,j2),(i2,j). Row and column sums are preserved and
 // all four cells stay positive, so the edit is weight-only and node-sum
-// stable — the replay path's precondition.
+// stable — the re-peel path's precondition. Each swap is applied to mat
+// as it is drawn, so the swaps of one batch compose even where they share
+// cells; the edits carry final values, so applying them to mat again is a
+// no-op.
 func balancedSwapEdits(rng *rand.Rand, mat []int64, n, count int) []Edit {
 	edits := make([]Edit, 0, 4*count)
 	for c := 0; c < count; c++ {
@@ -212,23 +247,16 @@ func balancedSwapEdits(rng *rand.Rand, mat []int64, n, count int) []Edit {
 			if mat[i*n+j] < 2 || mat[i2*n+j2] < 2 {
 				continue
 			}
-			edits = append(edits,
-				Edit{L: i, R: j, W: mat[i*n+j] - 1},
-				Edit{L: i2, R: j2, W: mat[i2*n+j2] - 1},
-				Edit{L: i, R: j2, W: mat[i*n+j2] + 1},
-				Edit{L: i2, R: j, W: mat[i2*n+j] + 1},
-			)
-			// Apply to a scratch view so multi-swap batches compose: the
-			// caller applies the returned edits to its matrix afterwards.
 			mat[i*n+j]--
 			mat[i2*n+j2]--
 			mat[i*n+j2]++
 			mat[i2*n+j]++
-			// Undo: the caller owns application. Re-add below.
-			mat[i*n+j]++
-			mat[i2*n+j2]++
-			mat[i*n+j2]--
-			mat[i2*n+j]--
+			edits = append(edits,
+				Edit{L: i, R: j, W: mat[i*n+j]},
+				Edit{L: i2, R: j2, W: mat[i2*n+j2]},
+				Edit{L: i, R: j2, W: mat[i*n+j2]},
+				Edit{L: i2, R: j, W: mat[i2*n+j]},
+			)
 			break
 		}
 	}

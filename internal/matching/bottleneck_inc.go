@@ -55,9 +55,12 @@ type BottleneckInc struct {
 
 	// Sorted active edges. orderBuf is the backing array; order is the live
 	// prefix. order0 is the pristine construction-time sort, used by Reset.
+	// sorter sorts order0 over w; Resort passes it by pointer, so the
+	// interface conversion never boxes (allocates) a copy.
 	orderBuf []int
 	order    []int
 	order0   []int
+	sorter   edgeIdxByWeightDesc
 	tmpA     []int // merge scratch: unchanged-weight run
 	tmpB     []int // merge scratch: previously-matched run
 
@@ -162,11 +165,8 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, engine En
 	for i := 0; i < nL; i++ {
 		b.base[i+1] += b.base[i]
 	}
-	for i := range b.order0 {
-		b.order0[i] = i
-	}
-	sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: w})
-	b.Reset()
+	b.sorter = edgeIdxByWeightDesc{idx: b.order0, w: w}
+	b.Resort()
 	return b
 }
 
@@ -207,17 +207,16 @@ func (b *BottleneckInc) Reset() {
 }
 
 // Resort recomputes the pristine insertion order from the weight slice's
-// current values and then Resets. It exists for cross-instance delta
-// solving (kpbs.SolveDelta): after the caller patches edge weights in
-// place, Resort makes the matcher byte-identical to one freshly
-// constructed over the patched weights — the same typed sort with the same
-// (weight desc, index asc) total order runs over the same index set, so
-// order0 lands in exactly the construction-time permutation. O(m log m).
+// current values and then Resets. Construction ends with the same call, so
+// after the caller patches edge weights in place (cross-instance delta
+// solving, kpbs.SolveDelta), Resort makes the matcher byte-identical to
+// one freshly constructed over the patched weights. O(m log m), no
+// allocations.
 func (b *BottleneckInc) Resort() {
 	for i := range b.order0 {
 		b.order0[i] = i
 	}
-	sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: b.w})
+	sort.Sort(&b.sorter)
 	b.Reset()
 }
 
